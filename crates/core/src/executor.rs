@@ -5,16 +5,29 @@
 //! adaptive token mask cache) and the runtime phase (checking
 //! context-dependent tokens against the full stack, and advancing the
 //! matcher when a token is accepted).
-
-use std::collections::HashSet;
+//!
+//! Stepping a [`TokenTrail`] allocates nothing per byte beyond new stack-tree
+//! nodes. Stack handles are deduplicated with the generation-stamped marks
+//! of [`PersistentStackTree`] instead of a hash set (the epsilon closure and
+//! the byte step each start a new generation), automaton edges are read in
+//! place, and the trail keeps its head sets in one flat buffer and reuses
+//! its closure buffers.
+//!
+//! `match_sorted_tokens` walks a byte-sorted token list through a trail
+//! and skips every token that extends a prefix on which all stacks already
+//! died (the sorted-vocabulary subtree skip of paper §3.3). Preprocessing
+//! and runtime mask fills both go through it.
 
 use xg_automata::{Pda, PdaEdge};
+use xg_tokenizer::{TokenId, Vocabulary};
 
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
 
-/// Hard cap on the number of parallel stacks tracked at once. Grammars that
-/// exceed it are pathological; exceeding the cap degrades to tracking a
-/// subset (documented behaviour, never observed for the evaluated grammars).
+/// Hard cap on the number of parallel stacks tracked at once. A step that
+/// would exceed it keeps a subset of the stacks and counts a truncation on
+/// the stack tree, surfaced as `stack_truncations` in
+/// [`MaskCacheStats`](crate::MaskCacheStats) and
+/// [`MatcherStats`](crate::MatcherStats).
 pub const MAX_PARALLEL_STACKS: usize = 512;
 
 /// Expands a set of stack heads into their epsilon closure: every
@@ -29,47 +42,55 @@ pub fn closure(
     pda: &Pda,
     tree: &mut PersistentStackTree,
     heads: &[StackHandle],
-    mut on_popout: impl FnMut(StackHandle),
+    on_popout: impl FnMut(StackHandle),
 ) -> Vec<StackHandle> {
-    let mut seen: HashSet<StackHandle> = HashSet::with_capacity(heads.len() * 2);
-    let mut queue: Vec<StackHandle> = Vec::with_capacity(heads.len() * 2);
-    let mut out: Vec<StackHandle> = Vec::with_capacity(heads.len() * 2);
+    let mut out = Vec::with_capacity(heads.len() * 2);
+    closure_into(pda, tree, heads, &mut Vec::new(), &mut out, on_popout);
+    out
+}
+
+/// [`closure`] writing into caller-owned buffers: `out` receives the
+/// expanded heads (it is cleared first), `queue` is scratch space.
+fn closure_into(
+    pda: &Pda,
+    tree: &mut PersistentStackTree,
+    heads: &[StackHandle],
+    queue: &mut Vec<StackHandle>,
+    out: &mut Vec<StackHandle>,
+    mut on_popout: impl FnMut(StackHandle),
+) {
+    tree.new_mark_generation();
+    queue.clear();
+    out.clear();
     for &h in heads {
-        if seen.insert(h) {
+        if tree.mark(h) {
             queue.push(h);
         }
     }
     while let Some(h) = queue.pop() {
         out.push(h);
         if out.len() >= MAX_PARALLEL_STACKS {
+            tree.record_truncation();
             break;
         }
         let top = tree.top(h).expect("stack heads always carry a top node");
-        let is_final = pda.node(top).is_final;
-        // Expand rule references (push). Collect edges first to appease the
-        // borrow checker (tree is mutated while pushing).
-        let rule_edges: Vec<(u32, xg_automata::NodeId)> = pda
-            .node(top)
-            .edges
-            .iter()
-            .filter_map(|e| match e {
-                PdaEdge::Rule { rule, target } => Some((rule.0, *target)),
-                PdaEdge::Bytes { .. } => None,
-            })
-            .collect();
-        for (rule, ret) in rule_edges {
-            let with_return = tree.replace_top(h, ret);
-            let child = tree.push(with_return, pda.rule(xg_automata::PdaRuleId(rule)).start);
-            if seen.insert(child) {
-                queue.push(child);
+        let node = pda.node(top);
+        // Expand rule references (push).
+        for edge in &node.edges {
+            if let PdaEdge::Rule { rule, target } = *edge {
+                let with_return = tree.replace_top(h, target);
+                let child = tree.push(with_return, pda.rule(rule).start);
+                if tree.mark(child) {
+                    queue.push(child);
+                }
             }
         }
         // Return to the parent rule (pop), or report a pop-out of the bottom
         // frame.
-        if is_final {
+        if node.is_final {
             if tree.depth(h) > 1 {
                 let popped = tree.pop(h);
-                if seen.insert(popped) {
+                if tree.mark(popped) {
                     queue.push(popped);
                 }
             } else {
@@ -77,7 +98,38 @@ pub fn closure(
             }
         }
     }
-    out
+}
+
+/// Moves every head of `expanded` (an epsilon closure) over `byte`,
+/// appending the deduplicated survivors to `out`.
+fn step_byte_into(
+    pda: &Pda,
+    tree: &mut PersistentStackTree,
+    expanded: &[StackHandle],
+    byte: u8,
+    out: &mut Vec<StackHandle>,
+) {
+    tree.new_mark_generation();
+    let base = out.len();
+    for (i, &h) in expanded.iter().enumerate() {
+        let top = tree.top(h).expect("stack heads always carry a top node");
+        for edge in &pda.node(top).edges {
+            if let PdaEdge::Bytes { range, target } = *edge {
+                if range.contains(byte) {
+                    let nh = tree.replace_top(h, target);
+                    if tree.mark(nh) {
+                        out.push(nh);
+                    }
+                }
+            }
+        }
+        if out.len() - base >= MAX_PARALLEL_STACKS {
+            if i + 1 < expanded.len() {
+                tree.record_truncation();
+            }
+            break;
+        }
+    }
 }
 
 /// Advances a set of stack heads over one byte. Returns the deduplicated set
@@ -90,29 +142,8 @@ pub fn advance_byte(
     on_popout: impl FnMut(StackHandle),
 ) -> Vec<StackHandle> {
     let expanded = closure(pda, tree, heads, on_popout);
-    let mut seen: HashSet<StackHandle> = HashSet::with_capacity(expanded.len());
-    let mut out: Vec<StackHandle> = Vec::with_capacity(expanded.len());
-    for h in expanded {
-        let top = tree.top(h).expect("stack heads always carry a top node");
-        let byte_edges: Vec<xg_automata::NodeId> = pda
-            .node(top)
-            .edges
-            .iter()
-            .filter_map(|e| match e {
-                PdaEdge::Bytes { range, target } if range.contains(byte) => Some(*target),
-                _ => None,
-            })
-            .collect();
-        for target in byte_edges {
-            let nh = tree.replace_top(h, target);
-            if seen.insert(nh) {
-                out.push(nh);
-            }
-        }
-        if out.len() >= MAX_PARALLEL_STACKS {
-            break;
-        }
-    }
+    let mut out = Vec::with_capacity(expanded.len());
+    step_byte_into(pda, tree, &expanded, byte, &mut out);
     out
 }
 
@@ -133,17 +164,28 @@ pub fn can_pop_out(pda: &Pda, tree: &mut PersistentStackTree, heads: &[StackHand
 /// (during preprocessing, or the context-dependent tokens of one stack at
 /// runtime), adjacent tokens share long prefixes; the trail rolls back to the
 /// shared prefix instead of re-matching it.
+///
+/// Only live head sets are stored, back to back in one buffer: once every
+/// stack has died, the remaining positions of a token record only that no
+/// pop-out happened there.
 #[derive(Debug)]
 pub struct TokenTrail {
-    /// `states[i]` = heads after consuming `i` bytes (`states[0]` = initial).
-    states: Vec<Vec<StackHandle>>,
-    /// `popout[i]` = while advancing from `states[i]`, some configuration
+    /// The head sets of the live states, concatenated: state `i` occupies
+    /// `heads[starts[i]..starts[i + 1]]` (the last one runs to the end).
+    heads: Vec<StackHandle>,
+    /// Start of each stored state in `heads`. State 0 (the initial heads) is
+    /// always stored; state `i > 0` is stored iff it is non-empty, so the
+    /// stored states are a prefix of the trail.
+    starts: Vec<usize>,
+    /// `popout[i]` = while advancing from state `i`, some configuration
     /// could pop out of the bottom frame (so the remainder starting at byte
-    /// offset `i` would have to be matched by parent context).
+    /// offset `i` would have to be matched by parent context). Its length is
+    /// the current prefix length.
     popout: Vec<bool>,
-    /// Bytes consumed so far (the current prefix).
-    prefix: Vec<u8>,
-    /// Total number of bytes actually advanced (for the §3.3 statistic).
+    /// Reused scratch buffers of the epsilon closure.
+    queue: Vec<StackHandle>,
+    expanded: Vec<StackHandle>,
+    /// Bytes advanced from a live state (for the §3.3 statistic).
     bytes_advanced: u64,
 }
 
@@ -151,47 +193,65 @@ impl TokenTrail {
     /// Creates a trail starting from the given heads.
     pub fn new(initial: Vec<StackHandle>) -> Self {
         TokenTrail {
-            states: vec![initial],
+            heads: initial,
+            starts: vec![0],
             popout: Vec::new(),
-            prefix: Vec::new(),
+            queue: Vec::new(),
+            expanded: Vec::new(),
             bytes_advanced: 0,
         }
     }
 
     /// Current prefix length in bytes.
     pub fn prefix_len(&self) -> usize {
-        self.prefix.len()
+        self.popout.len()
     }
 
     /// Rolls the trail back so that only `len` bytes remain matched.
     pub fn rollback_to(&mut self, len: usize) {
-        debug_assert!(len <= self.prefix.len());
-        self.prefix.truncate(len);
-        self.states.truncate(len + 1);
+        debug_assert!(len <= self.prefix_len());
         self.popout.truncate(len);
+        if self.starts.len() > len + 1 {
+            self.heads.truncate(self.starts[len + 1]);
+            self.starts.truncate(len + 1);
+        }
     }
 
     /// Advances the trail by one byte. Returns `true` if at least one stack
     /// survived.
     pub fn advance(&mut self, pda: &Pda, tree: &mut PersistentStackTree, byte: u8) -> bool {
-        let current = self.states.last().expect("states is never empty");
+        if self.current_heads().is_empty() {
+            self.popout.push(false);
+            return false;
+        }
+        let start = *self.starts.last().expect("state 0 is always stored");
+        let end = self.heads.len();
         let mut popout_here = false;
-        let next = if current.is_empty() {
-            Vec::new()
-        } else {
-            advance_byte(pda, tree, current, byte, |_| popout_here = true)
-        };
+        closure_into(
+            pda,
+            tree,
+            &self.heads[start..],
+            &mut self.queue,
+            &mut self.expanded,
+            |_| popout_here = true,
+        );
+        step_byte_into(pda, tree, &self.expanded, byte, &mut self.heads);
         self.bytes_advanced += 1;
-        self.prefix.push(byte);
         self.popout.push(popout_here);
-        let alive = !next.is_empty();
-        self.states.push(next);
+        let alive = self.heads.len() > end;
+        if alive {
+            self.starts.push(end);
+        }
         alive
     }
 
     /// Matches `token` assuming the trail currently holds a prefix of it of
     /// length `keep` (the caller computes the longest common prefix with the
     /// previously matched token). Returns the final state's liveness.
+    ///
+    /// Once every stack has died the remaining bytes are recorded without
+    /// automaton work: pop-out offsets recorded earlier still apply, and a
+    /// later token sharing a longer prefix rolls back into the dead tail.
     pub fn match_token(
         &mut self,
         pda: &Pda,
@@ -200,32 +260,36 @@ impl TokenTrail {
         keep: usize,
     ) -> bool {
         self.rollback_to(keep);
-        let mut alive = !self.current_heads().is_empty();
         for &b in &token[keep..] {
-            alive = self.advance(pda, tree, b);
-            // Keep advancing even when dead: pop-out offsets recorded earlier
-            // still apply, and later tokens sharing a longer prefix need the
-            // states to exist. Dead states advance to dead states cheaply.
-            if !alive && self.prefix.len() >= token.len() {
-                break;
-            }
-            if !alive {
-                // Fill the remaining positions with dead states without
-                // doing automaton work.
-                while self.prefix.len() < token.len() {
-                    self.prefix.push(token[self.prefix.len()]);
-                    self.popout.push(false);
-                    self.states.push(Vec::new());
-                }
-                break;
+            if !self.advance(pda, tree, b) {
+                self.popout.resize(token.len(), false);
+                return false;
             }
         }
-        alive && self.prefix.len() == token.len()
+        !self.current_heads().is_empty()
     }
 
     /// Heads after the full current prefix.
     pub fn current_heads(&self) -> &[StackHandle] {
-        self.states.last().expect("states is never empty")
+        let last = self.starts.len() - 1;
+        if last == self.prefix_len() {
+            &self.heads[self.starts[last]..]
+        } else {
+            &[]
+        }
+    }
+
+    /// When every stack has died, the byte offset of the first empty state:
+    /// any token sharing that many bytes with the current prefix dies at the
+    /// same point. `None` while some stack is alive.
+    fn dead_at(&self) -> Option<usize> {
+        if !self.current_heads().is_empty() {
+            None
+        } else if self.heads.is_empty() {
+            Some(0)
+        } else {
+            Some(self.starts.len())
+        }
     }
 
     /// Byte offsets `o < len` at which a pop-out of the bottom frame was
@@ -238,10 +302,69 @@ impl TokenTrail {
             .filter_map(|(i, &p)| if p { Some(i) } else { None })
     }
 
-    /// Total number of bytes advanced over the lifetime of the trail
-    /// (counting only real automaton work, not rolled-back reuse).
+    /// Total number of bytes advanced over the lifetime of the trail,
+    /// counting only real automaton work: neither rolled-back reuse nor
+    /// bytes after every stack has died.
     pub fn bytes_advanced(&self) -> u64 {
         self.bytes_advanced
+    }
+}
+
+/// How one token of a [`match_sorted_tokens`] walk ended.
+#[derive(Debug)]
+pub(crate) enum SortedMatch<'t> {
+    /// Every byte matched and some stack survived.
+    Accepted,
+    /// Every stack died; the trail holds the token, so the caller can read
+    /// its [pop-out offsets](TokenTrail::popout_offsets).
+    Rejected(&'t TokenTrail),
+    /// Not matched: the token extends a prefix on which every stack had
+    /// already died, so it is rejected.
+    DeadPrefix,
+}
+
+/// Matches byte-sorted tokens one after another on `trail`, rolling back to
+/// the prefix each token shares with its predecessor (paper §3.3).
+///
+/// `tokens` yields each token with its common-prefix length with the
+/// previous token (0 for the first; the trail must be fresh). `visit` is
+/// called once per token, in order.
+///
+/// When a token dies at byte offset `k`, every following token sharing at
+/// least `k` bytes dies there too, so the walk reports them as
+/// [`SortedMatch::DeadPrefix`] without matching, up to the first token that
+/// shares fewer. Unless `skip_past_popouts`, a token whose matching recorded
+/// a pop-out before `k` starts no skip: in preprocessing the followers'
+/// remainders after the pop-out differ and the caller must inspect each of
+/// them. At runtime a pop-out ends the whole grammar, so nothing can follow
+/// it and the skip applies regardless.
+pub(crate) fn match_sorted_tokens(
+    pda: &Pda,
+    vocab: &Vocabulary,
+    tree: &mut PersistentStackTree,
+    trail: &mut TokenTrail,
+    tokens: impl IntoIterator<Item = (TokenId, usize)>,
+    skip_past_popouts: bool,
+    mut visit: impl FnMut(TokenId, SortedMatch<'_>),
+) {
+    let mut dead_prefix = usize::MAX;
+    for (token, lcp) in tokens {
+        if lcp >= dead_prefix {
+            visit(token, SortedMatch::DeadPrefix);
+            continue;
+        }
+        dead_prefix = usize::MAX;
+        if trail.match_token(pda, tree, vocab.token_bytes(token), lcp) {
+            visit(token, SortedMatch::Accepted);
+            continue;
+        }
+        let k = trail
+            .dead_at()
+            .expect("a rejected token leaves a dead trail");
+        if skip_past_popouts || !trail.popout[..k].contains(&true) {
+            dead_prefix = k;
+        }
+        visit(token, SortedMatch::Rejected(trail));
     }
 }
 
@@ -348,6 +471,60 @@ mod tests {
     }
 
     #[test]
+    fn dead_bytes_are_not_counted_as_advanced() {
+        let pda = json_pda();
+        let mut tree = PersistentStackTree::new();
+        let heads = start_heads(&pda, &mut tree);
+        let mut trail = TokenTrail::new(heads);
+        // `x` kills every stack: one live step, then nothing.
+        assert!(!trail.match_token(&pda, &mut tree, b"xyz", 0));
+        assert_eq!(trail.bytes_advanced(), 1);
+        assert_eq!(trail.dead_at(), Some(1));
+        // Extending the dead prefix does no automaton work either.
+        assert!(!trail.match_token(&pda, &mut tree, b"xyzzy", 3));
+        assert_eq!(trail.bytes_advanced(), 1);
+        assert!(!trail.advance(&pda, &mut tree, b'!'));
+        assert_eq!(trail.bytes_advanced(), 1);
+    }
+
+    #[test]
+    fn sorted_walk_skips_tokens_under_a_dead_prefix() {
+        let pda = json_pda();
+        let mut tree = PersistentStackTree::new();
+        let heads = start_heads(&pda, &mut tree);
+        let tokens: [&[u8]; 5] = [b"[1", b"{x", b"{xa", b"{xb", b"{}"];
+        let vocab = Vocabulary::from_tokens(tokens.iter().map(|t| t.to_vec()).collect(), None);
+        let with_lcp = (0..tokens.len()).map(|i| {
+            let lcp = if i == 0 {
+                0
+            } else {
+                common_prefix_len(tokens[i - 1], tokens[i])
+            };
+            (TokenId(i as u32), lcp)
+        });
+        let mut trail = TokenTrail::new(heads);
+        let mut steps = Vec::new();
+        match_sorted_tokens(
+            &pda,
+            &vocab,
+            &mut tree,
+            &mut trail,
+            with_lcp,
+            false,
+            |_, step| {
+                steps.push(match step {
+                    SortedMatch::Accepted => 'A',
+                    SortedMatch::Rejected(_) => 'R',
+                    SortedMatch::DeadPrefix => 'D',
+                })
+            },
+        );
+        // `{x` dies at offset 2, so `{xa` and `{xb` are skipped; `{}` shares
+        // only one byte and is matched again.
+        assert_eq!(steps, vec!['A', 'R', 'D', 'D', 'A']);
+    }
+
+    #[test]
     fn dead_trail_can_still_be_extended_and_rolled_back() {
         let pda = json_pda();
         let mut tree = PersistentStackTree::new();
@@ -356,6 +533,32 @@ mod tests {
         assert!(!trail.match_token(&pda, &mut tree, b"{x}", 0));
         // Next token shares the prefix `{` only; after rollback it matches.
         assert!(trail.match_token(&pda, &mut tree, b"{}", 1));
+    }
+
+    #[test]
+    fn hitting_the_stack_cap_is_counted() {
+        // Every `(` may open either alternative of `e`, so n open brackets
+        // leave 2^n distinct stacks: a dozen of them exceed the cap.
+        let g = parse_ebnf(
+            r#"
+            root ::= e
+            e ::= "(" e ")" | "(" e | ""
+            "#,
+            "root",
+        )
+        .unwrap();
+        let pda = build_pda(&g, &PdaBuildOptions::default());
+        let mut tree = PersistentStackTree::new();
+        let mut heads = start_heads(&pda, &mut tree);
+        for _ in 0..3 {
+            heads = advance_byte(&pda, &mut tree, &heads, b'(', |_| {});
+        }
+        assert_eq!(tree.truncations(), 0);
+        for _ in 0..9 {
+            heads = advance_byte(&pda, &mut tree, &heads, b'(', |_| {});
+        }
+        assert!(tree.truncations() > 0);
+        assert!(heads.len() <= MAX_PARALLEL_STACKS);
     }
 
     #[test]

@@ -17,12 +17,22 @@
 //! Construction uses the persistent execution stack: tokens are classified in
 //! lexicographic order and the matcher state is rolled back to the common
 //! prefix with the previously classified token (paper §3.3), which cuts the
-//! number of bytes that have to be matched to a fraction.
+//! number of bytes that have to be matched to a fraction. When every stack
+//! dies on a prefix where no pop-out was possible, the whole subtree of
+//! sorted tokens extending that prefix is rejected without matching
+//! ([`match_sorted_tokens`]).
+//!
+//! Nodes are classified independently. Worker threads take the next
+//! unclassified node from a shared atomic counter, so the result is the
+//! same for any `num_threads` and a few expensive nodes do not leave the
+//! other workers idle.
 
 use xg_automata::{Fsa, NodeId, Pda, SuffixMatch};
 use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
 
-use crate::executor::{common_prefix_len, TokenTrail};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use crate::executor::{match_sorted_tokens, SortedMatch, TokenTrail};
 use crate::mask::TokenBitmask;
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
 
@@ -116,6 +126,10 @@ pub struct MaskCacheStats {
     /// Bytes of token text that would have been matched without sorted-prefix
     /// rollback (`nodes * total token bytes`).
     pub preprocessing_bytes_naive: u64,
+    /// Times classification hit
+    /// [`MAX_PARALLEL_STACKS`](crate::executor::MAX_PARALLEL_STACKS) and
+    /// dropped stacks; a non-zero count means some entries may be wrong.
+    pub stack_truncations: u64,
 }
 
 impl MaskCacheStats {
@@ -179,14 +193,6 @@ impl MaskCache {
     }
 }
 
-/// Classification of one token relative to one automaton node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TokenClass {
-    Accepted,
-    Rejected,
-    Uncertain,
-}
-
 /// Result of classifying the whole vocabulary for one node.
 #[derive(Debug, Default)]
 struct NodeClassification {
@@ -195,10 +201,12 @@ struct NodeClassification {
     uncertain: Vec<TokenId>,
     uncertain_before_expansion: usize,
     bytes_matched: u64,
+    stack_truncations: u64,
 }
 
 /// Classifies every (non-special) token against a single automaton node,
-/// using sorted-order prefix sharing. `suffix_fsa`, when provided, is the
+/// using sorted-order prefix sharing and dead-prefix skipping
+/// ([`match_sorted_tokens`]). `suffix_fsa`, when provided, is the
 /// expanded-suffix automaton of the node's rule and is used to reject
 /// context-dependent tokens whose remainder cannot match any parent context
 /// (context expansion, §3.2).
@@ -213,58 +221,47 @@ fn classify_node(
     let start = tree.push(StackHandle::ROOT, node);
     let mut trail = TokenTrail::new(vec![start]);
     let mut out = NodeClassification::default();
-    let mut prev_bytes: &[u8] = &[];
-    for (i, &token_id) in sorted.ids().iter().enumerate() {
-        let bytes = vocab.token_bytes(token_id);
-        let keep = if i == 0 {
-            0
-        } else {
-            common_prefix_len(prev_bytes, bytes).min(sorted.lcp()[i])
-        };
-        let alive = trail.match_token(pda, &mut tree, bytes, keep);
-        let class = if alive {
-            TokenClass::Accepted
-        } else {
-            // Any pop-out offset means the remainder could be matched by a
-            // parent context; context expansion filters those that cannot.
-            let mut uncertain = false;
-            for offset in trail.popout_offsets() {
-                if offset >= bytes.len() {
-                    continue;
-                }
-                let remainder = &bytes[offset..];
-                match suffix_fsa {
-                    Some(fsa) => {
-                        if fsa.match_remaining(remainder) == SuffixMatch::Possible {
-                            uncertain = true;
-                            break;
-                        }
+    let tokens = sorted
+        .ids()
+        .iter()
+        .copied()
+        .zip(sorted.lcp().iter().copied());
+    match_sorted_tokens(
+        pda,
+        vocab,
+        &mut tree,
+        &mut trail,
+        tokens,
+        false,
+        |token_id, step| {
+            let class = match step {
+                SortedMatch::Accepted => &mut out.accepted,
+                SortedMatch::DeadPrefix => &mut out.rejected,
+                // Any pop-out offset means the remainder could be matched by a
+                // parent context; context expansion filters those that cannot.
+                SortedMatch::Rejected(trail) if trail.popout_offsets().next().is_some() => {
+                    // Count what the classification would have been without
+                    // context expansion for the statistics.
+                    out.uncertain_before_expansion += 1;
+                    let bytes = vocab.token_bytes(token_id);
+                    let possible = |fsa: &Fsa| {
+                        trail
+                            .popout_offsets()
+                            .any(|o| fsa.match_remaining(&bytes[o..]) == SuffixMatch::Possible)
+                    };
+                    if suffix_fsa.is_none_or(possible) {
+                        &mut out.uncertain
+                    } else {
+                        &mut out.rejected
                     }
-                    None => {
-                        uncertain = true;
-                        break;
-                    }
                 }
-            }
-            // Track what the classification would have been without context
-            // expansion for the statistics.
-            if trail.popout_offsets().any(|o| o < bytes.len()) {
-                out.uncertain_before_expansion += 1;
-            }
-            if uncertain {
-                TokenClass::Uncertain
-            } else {
-                TokenClass::Rejected
-            }
-        };
-        match class {
-            TokenClass::Accepted => out.accepted.push(token_id),
-            TokenClass::Rejected => out.rejected.push(token_id),
-            TokenClass::Uncertain => out.uncertain.push(token_id),
-        }
-        prev_bytes = bytes;
-    }
+                SortedMatch::Rejected(_) => &mut out.rejected,
+            };
+            class.push(token_id);
+        },
+    );
     out.bytes_matched = trail.bytes_advanced();
+    out.stack_truncations = tree.truncations();
     out
 }
 
@@ -318,38 +315,33 @@ pub fn build_mask_cache(
         classify_node(pda, node, vocab, sorted, fsa)
     };
 
-    let classifications: Vec<NodeClassification> = if num_threads <= 1 || node_count < 2 {
-        (0..node_count).map(classify).collect()
-    } else {
-        // Static chunking over nodes; Vocabulary, Pda and SortedVocabulary are
-        // all shared immutably.
-        let mut results: Vec<Option<NodeClassification>> = Vec::new();
-        results.resize_with(node_count, || None);
-        let chunk = node_count.div_ceil(num_threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..num_threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(node_count);
-                if lo >= hi {
-                    break;
-                }
-                let classify = &classify;
-                handles.push(
-                    scope.spawn(move || (lo..hi).map(|i| (i, classify(i))).collect::<Vec<_>>()),
-                );
+    // Workers take the next unclassified node from a shared counter, so a
+    // few expensive nodes do not leave the other workers idle.
+    let next_node = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next_node.fetch_add(1, Ordering::Relaxed);
+            if i >= node_count {
+                return done;
             }
-            for handle in handles {
-                for (i, c) in handle.join().expect("classification worker panicked") {
-                    results[i] = Some(c);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|c| c.expect("every node classified"))
-            .collect()
+            done.push((i, classify(i)));
+        }
     };
+    let mut classifications: Vec<Option<NodeClassification>> = Vec::new();
+    classifications.resize_with(node_count, || None);
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..num_threads.min(node_count))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        let mine = worker();
+        let theirs = helpers
+            .into_iter()
+            .flat_map(|h| h.join().expect("classification worker panicked"));
+        for (i, c) in mine.into_iter().chain(theirs) {
+            classifications[i] = Some(c);
+        }
+    });
 
     // Convert classifications into adaptive entries and aggregate statistics.
     let vocab_size = vocab.len();
@@ -362,6 +354,8 @@ pub fn build_mask_cache(
         ..Default::default()
     };
     for classification in classifications {
+        let classification = classification.expect("every node classified");
+        stats.stack_truncations += classification.stack_truncations;
         stats.context_dependent_before_expansion += classification.uncertain_before_expansion;
         stats.context_dependent_after_expansion += classification.uncertain.len();
         stats.max_context_dependent_per_node = stats
@@ -422,8 +416,14 @@ fn make_entry(
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/random_grammar.rs"]
+mod random_grammar;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
     use xg_automata::{build_pda, extract_all_suffix_fsas, PdaBuildOptions};
     use xg_grammar::parse_ebnf;
     use xg_tokenizer::test_vocabulary;
@@ -567,6 +567,93 @@ mod tests {
             }
         } else {
             panic!("start node should be reject-heavy");
+        }
+    }
+
+    #[test]
+    fn build_is_identical_for_any_thread_count() {
+        let vocab = test_vocabulary(1500);
+        let sorted = SortedVocabulary::new(&vocab);
+        for grammar in [
+            xg_grammar::builtin::json_grammar(),
+            xg_grammar::builtin::xml_grammar(),
+            xg_grammar::builtin::python_dsl_grammar(),
+        ] {
+            let pda = build_pda(&grammar, &PdaBuildOptions::default());
+            let fsas = extract_all_suffix_fsas(&pda);
+            let build = |num_threads| {
+                let options = MaskCacheBuildOptions {
+                    context_expansion: true,
+                    num_threads,
+                };
+                build_mask_cache(&pda, &vocab, &sorted, Some(&fsas), &options)
+            };
+            let one = build(1);
+            for num_threads in [2, 3] {
+                let other = build(num_threads);
+                assert!(one.entries == other.entries, "{num_threads} threads");
+                assert_eq!(one.stats, other.stats, "{num_threads} threads");
+            }
+        }
+    }
+
+    /// Classifies every token on its own: a fresh trail per token, no
+    /// prefix reuse and no skipping.
+    fn classify_per_token(
+        pda: &Pda,
+        node: NodeId,
+        vocab: &Vocabulary,
+        sorted: &SortedVocabulary,
+        suffix_fsa: Option<&Fsa>,
+    ) -> [Vec<TokenId>; 3] {
+        let mut tree = PersistentStackTree::new();
+        let start = tree.push(StackHandle::ROOT, node);
+        let mut classes: [Vec<TokenId>; 3] = Default::default();
+        for &id in sorted.ids() {
+            let bytes = vocab.token_bytes(id);
+            let mut trail = TokenTrail::new(vec![start]);
+            let class = if trail.match_token(pda, &mut tree, bytes, 0) {
+                0
+            } else if trail.popout_offsets().any(|o| {
+                suffix_fsa.is_none_or(|f| f.match_remaining(&bytes[o..]) == SuffixMatch::Possible)
+            }) {
+                2
+            } else {
+                1
+            };
+            classes[class].push(id);
+        }
+        classes
+    }
+
+    #[test]
+    fn classification_matches_a_per_token_oracle_on_random_grammars() {
+        let vocab = test_vocabulary(600);
+        let sorted = SortedVocabulary::new(&vocab);
+        let mut rng = SmallRng::seed_from_u64(0xCA5E);
+        for g in 0..24 {
+            let random = super::random_grammar::random_grammar(&mut rng);
+            let grammar = parse_ebnf(&random.source, "root").unwrap();
+            // Alternate inlined and rule-per-frame automata, so pop-outs into
+            // parent frames are exercised as well.
+            let options = PdaBuildOptions {
+                inline_rules: g % 2 == 0,
+                ..Default::default()
+            };
+            let pda = build_pda(&grammar, &options);
+            let fsas = extract_all_suffix_fsas(&pda);
+            for i in 0..pda.node_count() {
+                let node = NodeId(i as u32);
+                let fsa = (g % 4 < 2).then(|| &fsas[pda.node(node).rule.index()]);
+                let got = classify_node(&pda, node, &vocab, &sorted, fsa);
+                let want = classify_per_token(&pda, node, &vocab, &sorted, fsa);
+                assert_eq!(
+                    [got.accepted, got.rejected, got.uncertain],
+                    want,
+                    "grammar #{g} node {i}\n{}",
+                    random.source
+                );
+            }
         }
     }
 }

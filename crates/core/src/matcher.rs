@@ -16,7 +16,9 @@ use xg_tokenizer::TokenId;
 use crate::compiler::CompiledGrammar;
 use crate::constraint::{ConstraintFactory, ConstraintMatcher, ConstraintStats};
 use crate::error::{AcceptError, RollbackError};
-use crate::executor::{advance_byte, can_pop_out, common_prefix_len, TokenTrail};
+use crate::executor::{
+    advance_byte, can_pop_out, common_prefix_len, match_sorted_tokens, SortedMatch, TokenTrail,
+};
 use crate::mask::TokenBitmask;
 use crate::mask_cache::NodeMaskEntry;
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
@@ -39,6 +41,11 @@ pub struct MatcherStats {
     /// advanced the matcher without per-token sampling (jump-forward
     /// injections and any caller-seeded prefixes).
     pub bytes_forced: u64,
+    /// Times a step hit
+    /// [`MAX_PARALLEL_STACKS`](crate::executor::MAX_PARALLEL_STACKS) and
+    /// dropped parse stacks (0 unless the grammar is pathologically
+    /// ambiguous).
+    pub stack_truncations: u64,
 }
 
 /// The incremental grammar matcher for one generation request.
@@ -102,7 +109,10 @@ impl GrammarMatcher {
 
     /// Runtime statistics.
     pub fn stats(&self) -> MatcherStats {
-        self.stats
+        MatcherStats {
+            stack_truncations: self.tree.truncations(),
+            ..self.stats
+        }
     }
 
     /// Number of parallel matching stacks currently alive.
@@ -416,26 +426,33 @@ impl GrammarMatcher {
     /// full stack (the "PDA baseline" of the ablation study). Tokens are still
     /// checked in sorted order to share prefixes.
     fn fill_mask_naive(&mut self, compiled: &CompiledGrammar, mask: &mut TokenBitmask) {
-        let vocab = Arc::clone(compiled.vocabulary());
-        let sorted_ids: Vec<TokenId> = compiled.sorted_vocabulary().ids().to_vec();
-        let pda = compiled.pda();
+        let sorted = compiled.sorted_vocabulary();
+        let tokens = sorted
+            .ids()
+            .iter()
+            .copied()
+            .zip(sorted.lcp().iter().copied());
         let mut trail = TokenTrail::new(self.heads.clone());
-        let mut prev: &[u8] = &[];
-        for &token in &sorted_ids {
-            let bytes = vocab.token_bytes(token);
-            let keep = common_prefix_len(prev, bytes);
-            let ok = trail.match_token(pda, &mut self.tree, bytes, keep);
-            if ok {
-                mask.allow(token);
-            }
-            prev = bytes;
-            self.stats.context_dependent_checked += 1;
-        }
+        match_sorted_tokens(
+            compiled.pda(),
+            compiled.vocabulary(),
+            &mut self.tree,
+            &mut trail,
+            tokens,
+            true,
+            |token, step| {
+                if matches!(step, SortedMatch::Accepted) {
+                    mask.allow(token);
+                }
+            },
+        );
+        self.stats.context_dependent_checked += sorted.len() as u64;
     }
 
     /// Resolves the context-dependent tokens of one stack by matching them
     /// against the full stack, reusing shared prefixes between consecutive
-    /// tokens. Returns one boolean per uncertain token (true = allowed).
+    /// tokens and skipping tokens under a dead prefix. Returns one boolean
+    /// per uncertain token (true = allowed).
     fn resolve_uncertain(
         &mut self,
         compiled: &CompiledGrammar,
@@ -445,18 +462,26 @@ impl GrammarMatcher {
         if uncertain.is_empty() {
             return Vec::new();
         }
-        let vocab = Arc::clone(compiled.vocabulary());
-        let pda = compiled.pda();
+        let vocab = compiled.vocabulary();
+        let mut prev: &[u8] = &[];
+        let tokens = uncertain.iter().map(|&token| {
+            let bytes = vocab.token_bytes(token);
+            let lcp = common_prefix_len(prev, bytes);
+            prev = bytes;
+            (token, lcp)
+        });
         let mut out = Vec::with_capacity(uncertain.len());
         let mut trail = TokenTrail::new(vec![head]);
-        let mut prev: &[u8] = &[];
-        for &token in uncertain {
-            let bytes = vocab.token_bytes(token);
-            let keep = common_prefix_len(prev, bytes);
-            out.push(trail.match_token(pda, &mut self.tree, bytes, keep));
-            prev = bytes;
-            self.stats.context_dependent_checked += 1;
-        }
+        match_sorted_tokens(
+            compiled.pda(),
+            vocab,
+            &mut self.tree,
+            &mut trail,
+            tokens,
+            true,
+            |_, step| out.push(matches!(step, SortedMatch::Accepted)),
+        );
+        self.stats.context_dependent_checked += uncertain.len() as u64;
         out
     }
 
@@ -899,6 +924,34 @@ mod tests {
                 m_naive.accept_bytes(&prefix[step..step + 1]).unwrap();
             }
         }
+    }
+
+    #[test]
+    fn stack_truncations_surface_in_both_stats() {
+        // n open brackets leave 2^n distinct stacks (each may close or not),
+        // so twelve exceed MAX_PARALLEL_STACKS in the mask-cache build and
+        // in the matcher.
+        let opens = vec![b'('; 12];
+        let vocab = Arc::new(Vocabulary::from_tokens(
+            vec![
+                b"(".to_vec(),
+                b")".to_vec(),
+                opens.clone(),
+                b"<eos>".to_vec(),
+            ],
+            Some(3),
+        ));
+        let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+        let grammar = "root ::= e\ne ::= \"(\" e \")\" | \"(\" e | \"\"";
+        let compiled = compiler.compile_ebnf(grammar, "root").unwrap();
+        assert!(compiled.stats().stack_truncations > 0);
+        let mut matcher = GrammarMatcher::new(compiled);
+        matcher.accept_bytes(b"(((").unwrap();
+        assert_eq!(matcher.stats().stack_truncations, 0);
+        matcher.accept_bytes(&opens).unwrap();
+        assert!(matcher.stats().stack_truncations > 0);
+        matcher.reset();
+        assert_eq!(matcher.stats(), MatcherStats::default());
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! and can be deduplicated by comparing handles. Branching a stack (grammar
 //! ambiguity, speculative decoding trees) and rolling back to an earlier step
 //! are both O(1): they only manipulate handles, never copy stack contents.
+//!
+//! Each tree node also carries a generation-stamped *mark*, which the
+//! executor uses to deduplicate stack handles while expanding a head set
+//! without allocating a hash set per step: starting a new generation
+//! unmarks every handle at once.
 
 use xg_automata::NodeId;
 
@@ -38,6 +43,9 @@ struct TreeNode {
     /// Children indices, used to memoize pushes.
     children: Vec<u32>,
     depth: u32,
+    /// Generation in which this stack was last marked (see
+    /// [`PersistentStackTree::mark`]). Fits in the padding after `depth`.
+    mark: u32,
 }
 
 /// The tree holding every persistent stack.
@@ -60,6 +68,12 @@ struct TreeNode {
 #[derive(Debug, Clone)]
 pub struct PersistentStackTree {
     nodes: Vec<TreeNode>,
+    /// Current mark generation; a node is marked iff its `mark` equals it.
+    generation: u32,
+    /// Times a head set reached
+    /// [`MAX_PARALLEL_STACKS`](crate::executor::MAX_PARALLEL_STACKS) and
+    /// stacks were dropped.
+    truncations: u64,
 }
 
 impl Default for PersistentStackTree {
@@ -77,7 +91,10 @@ impl PersistentStackTree {
                 node: NodeId(u32::MAX),
                 children: Vec::new(),
                 depth: 0,
+                mark: 0,
             }],
+            generation: 0,
+            truncations: 0,
         }
     }
 
@@ -98,6 +115,7 @@ impl PersistentStackTree {
             node,
             children: Vec::new(),
             depth,
+            mark: 0,
         });
         self.nodes[parent_idx].children.push(idx);
         StackHandle(idx)
@@ -136,6 +154,40 @@ impl PersistentStackTree {
     /// Number of elements in the stack identified by `handle`.
     pub fn depth(&self, handle: StackHandle) -> usize {
         self.nodes[handle.0 as usize].depth as usize
+    }
+
+    /// Starts a new mark generation: afterwards no stack is marked. O(1)
+    /// except once every 2^32 generations, when the stamps are cleared.
+    pub(crate) fn new_mark_generation(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            for node in &mut self.nodes {
+                node.mark = 0;
+            }
+            self.generation = 1;
+        }
+    }
+
+    /// Marks `handle` in the current generation. Returns `true` if it was
+    /// not marked yet (the set-insert of a hash-set dedup).
+    pub(crate) fn mark(&mut self, handle: StackHandle) -> bool {
+        let node = &mut self.nodes[handle.0 as usize];
+        let fresh = node.mark != self.generation;
+        node.mark = self.generation;
+        fresh
+    }
+
+    /// Records that a head set hit
+    /// [`MAX_PARALLEL_STACKS`](crate::executor::MAX_PARALLEL_STACKS).
+    pub(crate) fn record_truncation(&mut self) {
+        self.truncations += 1;
+    }
+
+    /// Number of times stepping over this tree hit
+    /// [`MAX_PARALLEL_STACKS`](crate::executor::MAX_PARALLEL_STACKS) and
+    /// dropped stacks (0 unless the grammar is pathologically ambiguous).
+    pub(crate) fn truncations(&self) -> u64 {
+        self.truncations
     }
 
     /// Materializes the stack as a vector (bottom first, top last). Intended
@@ -244,6 +296,19 @@ mod tests {
     fn popping_root_panics() {
         let tree = PersistentStackTree::new();
         let _ = tree.pop(StackHandle::ROOT);
+    }
+
+    #[test]
+    fn marks_reset_with_each_generation() {
+        let mut tree = PersistentStackTree::new();
+        let a = tree.push(StackHandle::ROOT, NodeId(1));
+        tree.new_mark_generation();
+        assert!(tree.mark(a));
+        assert!(!tree.mark(a));
+        let b = tree.push(a, NodeId(2));
+        assert!(tree.mark(b));
+        tree.new_mark_generation();
+        assert!(tree.mark(a) && tree.mark(b));
     }
 
     #[test]
