@@ -3,6 +3,13 @@
 //! Used for the *expanded suffix* automata of context expansion (paper §3.2,
 //! Algorithm 2) and by the Outlines-style regex/FSM baseline. Edges are
 //! labelled with inclusive byte ranges; there are no epsilon edges.
+//!
+//! [`Fsa::match_remaining_in`] simulates the automaton over two state
+//! bitsets kept in a caller-owned [`FsaScratch`], so checking a remainder
+//! allocates nothing per byte. It also reports after how many bytes the
+//! verdict was decided: mask-cache classification gives that verdict to
+//! every following sorted token that shares those bytes without checking
+//! them one by one.
 
 use std::collections::BTreeSet;
 
@@ -64,6 +71,16 @@ pub enum SuffixMatch {
     /// The remaining bytes are a prefix of an accepted string, or start with
     /// an accepted string; validity still depends on the runtime stack.
     Possible,
+}
+
+/// Reusable state sets for [`Fsa::match_remaining_in`]: one bit per
+/// state for the current and the next step. Reusing one scratch across
+/// calls makes matching allocation-free once the sets have grown to the
+/// largest automaton matched.
+#[derive(Debug, Clone, Default)]
+pub struct FsaScratch {
+    current: Vec<u64>,
+    next: Vec<u64>,
 }
 
 impl Fsa {
@@ -181,24 +198,61 @@ impl Fsa {
     /// starts with an accepted string, and [`SuffixMatch::Rejected`]
     /// otherwise.
     pub fn match_remaining(&self, remaining: &[u8]) -> SuffixMatch {
-        let mut states: BTreeSet<StateId> = BTreeSet::new();
-        states.insert(self.start);
-        if states.iter().any(|s| self.is_final(*s)) {
-            return SuffixMatch::Possible;
+        self.match_remaining_in(remaining, &mut FsaScratch::default())
+            .0
+    }
+
+    /// [`match_remaining`](Self::match_remaining) over reusable state sets,
+    /// also returning the number of bytes after which the verdict was
+    /// decided: every state died (rejected) or a final state was reached
+    /// (possible). Any remainder that shares those bytes gets the same
+    /// verdict. `None` when the bytes ran out with live, non-final states:
+    /// the remainder is a proper prefix of an accepted string, and a longer
+    /// one could still be rejected.
+    pub fn match_remaining_in(
+        &self,
+        remaining: &[u8],
+        scratch: &mut FsaScratch,
+    ) -> (SuffixMatch, Option<usize>) {
+        if self.is_final(self.start) {
+            return (SuffixMatch::Possible, Some(0));
         }
-        for &b in remaining {
-            states = self.step(&states, b);
-            if states.is_empty() {
-                return SuffixMatch::Rejected;
+        let FsaScratch { current, next } = scratch;
+        let words = self.states.len().div_ceil(64);
+        current.clear();
+        current.resize(words, 0);
+        next.clear();
+        next.resize(words, 0);
+        current[self.start.index() / 64] |= 1 << (self.start.index() % 64);
+        for (i, &b) in remaining.iter().enumerate() {
+            next.fill(0);
+            let (mut alive, mut reached_final) = (false, false);
+            for (w, &word) in current.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let state = &self.states[w * 64 + bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                    for &(range, to) in &state.edges {
+                        if range.contains(b) {
+                            next[to.index() / 64] |= 1 << (to.index() % 64);
+                            alive = true;
+                            reached_final |= self.states[to.index()].is_final;
+                        }
+                    }
+                }
             }
-            if states.iter().any(|s| self.is_final(*s)) {
+            if !alive {
+                return (SuffixMatch::Rejected, Some(i + 1));
+            }
+            if reached_final {
                 // The remainder starts with an accepted expanded suffix.
-                return SuffixMatch::Possible;
+                return (SuffixMatch::Possible, Some(i + 1));
             }
+            std::mem::swap(current, next);
         }
         // Consumed every byte with live states: the remainder is a prefix of
         // an accepted string.
-        SuffixMatch::Possible
+        (SuffixMatch::Possible, None)
     }
 
     /// Merges `other` into `self` as an alternative (language union). The
@@ -300,6 +354,60 @@ mod tests {
         fsa.set_final(s, true);
         assert!(fsa.accepts(b""));
         assert_eq!(fsa.match_remaining(b"anything"), SuffixMatch::Possible);
+    }
+
+    #[test]
+    fn match_remaining_reports_the_deciding_byte() {
+        let fsa = literal_fsa(b", \"");
+        let mut scratch = FsaScratch::default();
+        let mut check = |bytes: &[u8]| fsa.match_remaining_in(bytes, &mut scratch);
+        assert_eq!(check(b"x"), (SuffixMatch::Rejected, Some(1)));
+        assert_eq!(check(b",x"), (SuffixMatch::Rejected, Some(2)));
+        assert_eq!(check(b", \"abc"), (SuffixMatch::Possible, Some(3)));
+        // A proper prefix of an accepted string is possible but undecided.
+        assert_eq!(check(b", "), (SuffixMatch::Possible, None));
+        assert_eq!(check(b""), (SuffixMatch::Possible, None));
+        let mut always = Fsa::new();
+        let s = always.start();
+        always.set_final(s, true);
+        assert_eq!(
+            always.match_remaining_in(b"x", &mut scratch),
+            (SuffixMatch::Possible, Some(0))
+        );
+    }
+
+    #[test]
+    fn bitset_simulation_agrees_with_set_stepping() {
+        // Over 64 states, so the state sets span several words.
+        let mut fsa = literal_fsa(&[b'a'; 70]);
+        fsa.union_with(&literal_fsa(b"ab"));
+        fsa.union_with(&literal_fsa(b"b"));
+        let reference = |bytes: &[u8]| {
+            let mut states = BTreeSet::from([fsa.start()]);
+            for (i, &b) in bytes.iter().enumerate() {
+                states = fsa.step(&states, b);
+                if states.is_empty() {
+                    return (SuffixMatch::Rejected, Some(i + 1));
+                }
+                if states.iter().any(|s| fsa.is_final(*s)) {
+                    return (SuffixMatch::Possible, Some(i + 1));
+                }
+            }
+            (SuffixMatch::Possible, None)
+        };
+        let mut scratch = FsaScratch::default();
+        let mut inputs: Vec<Vec<u8>> = vec![b"ab".to_vec(), b"ac".to_vec(), b"bx".to_vec()];
+        for n in [1, 63, 64, 65, 69, 70, 71] {
+            inputs.push(vec![b'a'; n]);
+            inputs.push([vec![b'a'; n], b"z".to_vec()].concat());
+        }
+        for input in inputs {
+            assert_eq!(
+                fsa.match_remaining_in(&input, &mut scratch),
+                reference(&input),
+                "{input:?}"
+            );
+        }
     }
 
     #[test]

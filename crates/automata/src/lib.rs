@@ -47,7 +47,7 @@ pub mod utf8;
 
 pub use build::{build_pda, build_pda_default, inline_fragment_rules, PdaBuildOptions};
 pub use exec::{epsilon_closure, MatchStack, SimpleMatcher, StepResult};
-pub use fsa::{Fsa, StateId, SuffixMatch};
+pub use fsa::{Fsa, FsaScratch, StateId, SuffixMatch};
 pub use intern::{intern_states, StateInternStats};
 pub use multipattern::{AcState, AhoCorasick, NaiveMultiPattern};
 pub use pda::{NodeId, Pda, PdaEdge, PdaNode, PdaRule, PdaRuleId, PdaStats};

@@ -989,7 +989,8 @@ fn experiment_engine_jump_forward(vocab: &Arc<Vocabulary>, config: &Config) {
 /// the refactor: `run_batch` (now a thin wrapper over the scheduler) stays
 /// byte-identical to the retained fixed loop, and a late-arriving request
 /// whose grammar is already cached reaches its first token faster than the
-/// fixed-batch TTFT bound (whole-batch prefill + compile).
+/// fixed-batch TTFT bound (whole-batch prefill + compile), comparing the
+/// medians of repeated trials of each.
 fn experiment_continuous_batching(vocab: &Arc<Vocabulary>, config: &Config) {
     use xg_engine::SchedulerConfig;
 
@@ -1024,51 +1025,67 @@ fn experiment_continuous_batching(vocab: &Arc<Vocabulary>, config: &Config) {
 
     // ---- Part 2: a late join on a warm grammar cache beats the ----
     // ---- fixed-batch TTFT bound.                                ----
+    // One wall-clock sample of either side spreads widely on a loaded
+    // machine (the bound alone has ranged over 2x between runs), so the
+    // gate compares the medians of LATE_JOIN_TRIALS alternating trials.
+    const LATE_JOIN_TRIALS: usize = 5;
     let mut late = requests[0].clone();
     late.seed = 0xFEED;
     let mut cohort_plus_late = requests.clone();
     cohort_plus_late.push(late.clone());
-    let (_, bound_metrics) = engine
-        .run_batch_fixed(&cohort_plus_late)
-        .expect("bound batch");
-    let bound = bound_metrics.ttft;
-
-    let scheduler = engine.serve(SchedulerConfig {
-        max_lanes: cohort_plus_late.len(),
-        queue_capacity: cohort_plus_late.len(),
-        admission_workers: 2,
-        mask_workers: 0, // auto
-    });
-    let cohort: Vec<_> = requests
-        .iter()
-        .map(|r| scheduler.submit(r.clone()).expect("submit"))
-        .collect();
-    // Let the cohort prefill and start decoding, then arrive late.
-    std::thread::sleep(bound);
-    let late_handle = scheduler.submit(late).expect("submit late");
-    let late_finished = late_handle.wait().expect("late lane finishes");
+    let mut bounds = Vec::with_capacity(LATE_JOIN_TRIALS);
+    let mut late_ttfts = Vec::with_capacity(LATE_JOIN_TRIALS);
+    let mut late_cache_hits = true;
     let mut cohort_ttft = Duration::ZERO;
     let mut cohort_tpot = Duration::ZERO;
-    for handle in cohort {
-        let finished = handle.wait().expect("cohort lane finishes");
-        cohort_ttft += finished.timing.ttft;
-        cohort_tpot += finished.timing.tpot;
+    for _ in 0..LATE_JOIN_TRIALS {
+        let (_, bound_metrics) = engine
+            .run_batch_fixed(&cohort_plus_late)
+            .expect("bound batch");
+        let bound = bound_metrics.ttft;
+        bounds.push(bound);
+
+        let scheduler = engine.serve(SchedulerConfig {
+            max_lanes: cohort_plus_late.len(),
+            queue_capacity: cohort_plus_late.len(),
+            admission_workers: 2,
+            mask_workers: 0, // auto
+        });
+        let cohort: Vec<_> = requests
+            .iter()
+            .map(|r| scheduler.submit(r.clone()).expect("submit"))
+            .collect();
+        // Let the cohort prefill and start decoding, then arrive late.
+        std::thread::sleep(bound);
+        let late_handle = scheduler.submit(late.clone()).expect("submit late");
+        let late_finished = late_handle.wait().expect("late lane finishes");
+        late_cache_hits &= late_finished.timing.cache_hit;
+        late_ttfts.push(late_finished.timing.ttft);
+        for handle in cohort {
+            let finished = handle.wait().expect("cohort lane finishes");
+            cohort_ttft += finished.timing.ttft;
+            cohort_tpot += finished.timing.tpot;
+        }
+        scheduler.shutdown();
     }
-    let sched_stats = scheduler.metrics();
-    scheduler.shutdown();
+    let median = |samples: &mut Vec<Duration>| {
+        samples.sort();
+        samples[samples.len() / 2]
+    };
+    let (bound, late_ttft) = (median(&mut bounds), median(&mut late_ttfts));
+    let cohort_lanes = (count * LATE_JOIN_TRIALS) as u32;
     println!(
-        "  cohort of {count}: mean TTFT {} ms, mean TPOT {} ms",
-        fmt_ms(cohort_ttft / count as u32),
-        fmt_ms(cohort_tpot / count as u32),
+        "  cohort of {count} ({LATE_JOIN_TRIALS} trials): mean TTFT {} ms, mean TPOT {} ms",
+        fmt_ms(cohort_ttft / cohort_lanes),
+        fmt_ms(cohort_tpot / cohort_lanes),
     );
     println!(
-        "  late join (cached grammar, cache hit: {}): TTFT {} ms vs fixed-batch bound {} ms",
-        late_finished.timing.cache_hit,
-        fmt_ms(late_finished.timing.ttft),
+        "  late join (cached grammar, cache hit in every trial: {late_cache_hits}): median TTFT {} ms \
+         vs median fixed-batch bound {} ms over {LATE_JOIN_TRIALS} trials",
+        fmt_ms(late_ttft),
         fmt_ms(bound),
     );
-    let late_pass = late_finished.timing.cache_hit && late_finished.timing.ttft < bound;
-    let _ = sched_stats;
+    let late_pass = late_cache_hits && late_ttft < bound;
 
     // ---- Part 3: steady state at 256 concurrent lanes. ----
     let lanes = 256usize;

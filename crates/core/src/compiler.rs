@@ -9,14 +9,17 @@
 //!
 //! [`GrammarCompiler`] additionally memoizes compiled grammars keyed by the
 //! grammar text and compiler configuration, since serving workloads reuse a
-//! small set of schemas across many requests.
+//! small set of schemas across many requests. It also sorts its vocabulary
+//! once: every grammar it compiles shares that one [`SortedVocabulary`]
+//! index, so a compile pays only for classifying the grammar's own nodes.
 
 use std::sync::Arc;
 
-use xg_automata::{build_pda, extract_all_suffix_fsas, Fsa, Pda, PdaBuildOptions};
+use xg_automata::{build_pda, extract_all_suffix_fsas, Fsa, NodeId, Pda, PdaBuildOptions};
 use xg_grammar::{Grammar, GrammarError};
 use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
 
+use crate::executor::universal_nodes;
 use crate::grammar_cache::{GrammarCache, GrammarCacheConfig, GrammarCacheKey};
 use crate::lint::{lint_compiled, GrammarLintReport};
 use crate::mask_cache::{build_mask_cache, MaskCache, MaskCacheBuildOptions, MaskCacheStats};
@@ -112,9 +115,14 @@ impl CompilerConfig {
 pub struct CompiledGrammar {
     pda: Pda,
     vocab: Arc<Vocabulary>,
-    sorted: SortedVocabulary,
+    /// The byte-sorted token index, shared by every grammar compiled
+    /// against this vocabulary by one [`GrammarCompiler`].
+    sorted: Arc<SortedVocabulary>,
     mask_cache: Option<MaskCache>,
     suffix_fsas: Vec<Fsa>,
+    /// Nodes with a byte edge over `0x00..=0xFF` to themselves (see
+    /// [`executor`](crate::executor)).
+    universal_nodes: Vec<NodeId>,
     config: CompilerConfig,
     /// Lint findings (present unless the config's lint mode is `Off`).
     lint: Option<GrammarLintReport>,
@@ -124,14 +132,27 @@ pub struct CompiledGrammar {
 
 impl CompiledGrammar {
     /// Compiles `grammar` against `vocab` with the given configuration.
+    ///
+    /// This builds the sorted token index for this one grammar; a
+    /// [`GrammarCompiler`] builds it once and shares it between compiles.
     pub fn compile(
         grammar: &Grammar,
         vocab: Arc<Vocabulary>,
         config: &CompilerConfig,
     ) -> CompiledGrammar {
+        let sorted = Arc::new(SortedVocabulary::new(&vocab));
+        Self::compile_with_index(grammar, vocab, sorted, config)
+    }
+
+    /// Compiles `grammar` against `vocab`, whose sorted index is `sorted`.
+    fn compile_with_index(
+        grammar: &Grammar,
+        vocab: Arc<Vocabulary>,
+        sorted: Arc<SortedVocabulary>,
+        config: &CompilerConfig,
+    ) -> CompiledGrammar {
         let start = std::time::Instant::now();
         let pda = build_pda(grammar, &config.pda_options());
-        let sorted = SortedVocabulary::new(&vocab);
         let suffix_fsas = extract_all_suffix_fsas(&pda);
         let mask_cache = if config.enable_mask_cache {
             Some(build_mask_cache(
@@ -154,6 +175,7 @@ impl CompiledGrammar {
             }
         };
         CompiledGrammar {
+            universal_nodes: universal_nodes(&pda),
             pda,
             vocab,
             sorted,
@@ -168,6 +190,11 @@ impl CompiledGrammar {
     /// The compiled pushdown automaton.
     pub fn pda(&self) -> &Pda {
         &self.pda
+    }
+
+    /// The nodes on which every byte string is accepted.
+    pub(crate) fn universal_nodes(&self) -> &[NodeId] {
+        &self.universal_nodes
     }
 
     /// The vocabulary this grammar was compiled against.
@@ -220,10 +247,12 @@ impl CompiledGrammar {
         self.vocab.eos()
     }
 
-    /// Estimated heap memory held by this compiled grammar, dominated by the
-    /// adaptive token mask cache (the per-node
+    /// Estimated heap memory held by this compiled grammar: the adaptive
+    /// token mask cache (the per-node
     /// [`NodeMaskEntry::memory_bytes`](crate::NodeMaskEntry::memory_bytes)
-    /// sums in [`MaskCacheStats::memory_bytes`]). Used by
+    /// sums in [`MaskCacheStats::memory_bytes`]) plus the automata. The
+    /// sorted token index is not counted: it belongs to the vocabulary and
+    /// is shared by every grammar its [`GrammarCompiler`] compiles. Used by
     /// [`GrammarCache`](crate::GrammarCache) to enforce its byte budget.
     pub fn memory_bytes(&self) -> usize {
         let mask_cache = self
@@ -233,8 +262,7 @@ impl CompiledGrammar {
             .unwrap_or(0);
         let automata = self.pda.node_count() * 96
             + self.suffix_fsas.iter().map(|f| f.len() * 48).sum::<usize>();
-        // The sorted index stores one id + one LCP length per token.
-        mask_cache + automata + self.sorted.len() * 12
+        mask_cache + automata
     }
 }
 
@@ -259,6 +287,9 @@ pub struct GrammarCompiler {
     /// Fingerprint of `vocab`, computed once (hashing a 128k-token
     /// vocabulary per compile request would be wasteful).
     vocab_fingerprint: u64,
+    /// The sorted index of `vocab`, built once and shared by every grammar
+    /// this compiler compiles.
+    sorted: Arc<SortedVocabulary>,
     config: CompilerConfig,
     /// Key component of `config`, likewise computed once.
     config_hash: u64,
@@ -305,6 +336,7 @@ impl GrammarCompiler {
     ) -> Self {
         GrammarCompiler {
             vocab_fingerprint: vocab.fingerprint(),
+            sorted: Arc::new(SortedVocabulary::new(&vocab)),
             vocab,
             config_hash: GrammarCacheKey::config_hash(&config),
             config,
@@ -344,6 +376,11 @@ impl GrammarCompiler {
         &self.config
     }
 
+    /// Fingerprint of the vocabulary, computed once at construction.
+    pub(crate) fn vocab_fingerprint(&self) -> u64 {
+        self.vocab_fingerprint
+    }
+
     /// The compiled-grammar cache backing this compiler (private unless the
     /// compiler was built with [`with_cache`](Self::with_cache)).
     pub fn cache(&self) -> &Arc<GrammarCache> {
@@ -377,7 +414,12 @@ impl GrammarCompiler {
     ) -> Arc<CompiledGrammar> {
         use std::sync::atomic::Ordering;
         let (compiled, compiled_here) = self.cache.get_or_insert_with_outcome(key, || {
-            CompiledGrammar::compile(grammar, Arc::clone(&self.vocab), &self.config)
+            CompiledGrammar::compile_with_index(
+                grammar,
+                Arc::clone(&self.vocab),
+                Arc::clone(&self.sorted),
+                &self.config,
+            )
         });
         if compiled_here {
             self.local_misses.fetch_add(1, Ordering::Relaxed);
@@ -545,6 +587,26 @@ mod tests {
             .unwrap();
         assert!(compiled.mask_cache().is_none());
         assert_eq!(compiled.stats(), MaskCacheStats::default());
+    }
+
+    #[test]
+    fn compiled_grammars_share_the_compilers_sorted_index() {
+        let vocab = Arc::new(test_vocabulary(600));
+        let c = GrammarCompiler::new(Arc::clone(&vocab));
+        let a = c.compile_ebnf(r#"root ::= "a" [0-9]+"#, "root").unwrap();
+        let b = c.compile_ebnf(r#"root ::= "b" [a-z]*"#, "root").unwrap();
+        assert!(std::ptr::eq(a.sorted_vocabulary(), b.sorted_vocabulary()));
+        // A standalone compile builds its own index and the same cache.
+        let grammar = xg_grammar::parse_ebnf(r#"root ::= "a" [0-9]+"#, "root").unwrap();
+        let alone = CompiledGrammar::compile(&grammar, vocab, c.config());
+        assert!(!std::ptr::eq(
+            a.sorted_vocabulary(),
+            alone.sorted_vocabulary()
+        ));
+        assert_eq!(a.sorted_vocabulary().ids(), alone.sorted_vocabulary().ids());
+        let (x, y) = (a.mask_cache().unwrap(), alone.mask_cache().unwrap());
+        assert!((0..x.len()).all(|i| x.entry(NodeId(i as u32)) == y.entry(NodeId(i as u32))));
+        assert_eq!(a.stats(), alone.stats());
     }
 
     #[test]

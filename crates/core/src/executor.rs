@@ -14,11 +14,31 @@
 //! its closure buffers.
 //!
 //! `match_sorted_tokens` walks a byte-sorted token list through a trail
-//! and skips every token that extends a prefix on which all stacks already
-//! died (the sorted-vocabulary subtree skip of paper §3.3). Preprocessing
-//! and runtime mask fills both go through it.
+//! (paper §3.3) and reports verdicts for runs of tokens, not single ones.
+//! For each matched token it finds the prefix length after which the
+//! verdict can no longer change; every following token sharing that prefix
+//! gets the same verdict without being matched:
+//!
+//! * a token on whose prefix every stack died, with no pop-out before that,
+//!   is rejected, and so is every extension of that prefix;
+//! * a token that died after pop-outs is decided once every pop-out's
+//!   context-expansion check is (it died, or reached a final state of the
+//!   expanded-suffix automaton), so extensions sharing those bytes too get
+//!   its verdict;
+//! * a token whose trail holds a *universal* node — one with a byte edge
+//!   over `0x00..=0xFF` back to itself, like a free-text tail — is accepted,
+//!   and so is every extension of the prefix that reached it, provided the
+//!   token's walk dropped no stacks at the
+//!   [`MAX_PARALLEL_STACKS`] cap. An extension whose own walk would have
+//!   overflowed the cap, and so might have dropped the universal stack, is
+//!   reported accepted, which is the answer without the cap; its
+//!   truncations are not counted because it is never matched.
+//!
+//! Preprocessing and runtime mask fills both go through it.
 
-use xg_automata::{Pda, PdaEdge};
+use std::ops::Range;
+
+use xg_automata::{Fsa, FsaScratch, NodeId, Pda, PdaEdge, SuffixMatch};
 use xg_tokenizer::{TokenId, Vocabulary};
 
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
@@ -187,6 +207,13 @@ pub struct TokenTrail {
     expanded: Vec<StackHandle>,
     /// Bytes advanced from a live state (for the §3.3 statistic).
     bytes_advanced: u64,
+    /// First state whose step hit the stack cap, or `usize::MAX` when the
+    /// current prefix was matched without truncation.
+    truncated_at: usize,
+    /// Stored states already scanned for a universal head, and the first
+    /// state holding one (`usize::MAX`: none among the scanned states).
+    universal_scanned: usize,
+    universal_at: usize,
 }
 
 impl TokenTrail {
@@ -199,6 +226,9 @@ impl TokenTrail {
             queue: Vec::new(),
             expanded: Vec::new(),
             bytes_advanced: 0,
+            truncated_at: usize::MAX,
+            universal_scanned: 0,
+            universal_at: usize::MAX,
         }
     }
 
@@ -215,6 +245,13 @@ impl TokenTrail {
             self.heads.truncate(self.starts[len + 1]);
             self.starts.truncate(len + 1);
         }
+        if self.truncated_at > len {
+            self.truncated_at = usize::MAX;
+        }
+        self.universal_scanned = self.universal_scanned.min(self.starts.len());
+        if self.universal_at >= self.starts.len() {
+            self.universal_at = usize::MAX;
+        }
     }
 
     /// Advances the trail by one byte. Returns `true` if at least one stack
@@ -227,6 +264,7 @@ impl TokenTrail {
         let start = *self.starts.last().expect("state 0 is always stored");
         let end = self.heads.len();
         let mut popout_here = false;
+        let truncations = tree.truncations();
         closure_into(
             pda,
             tree,
@@ -238,6 +276,9 @@ impl TokenTrail {
         step_byte_into(pda, tree, &self.expanded, byte, &mut self.heads);
         self.bytes_advanced += 1;
         self.popout.push(popout_here);
+        if tree.truncations() != truncations {
+            self.truncated_at = self.truncated_at.min(self.prefix_len());
+        }
         let alive = self.heads.len() > end;
         if alive {
             self.starts.push(end);
@@ -292,6 +333,37 @@ impl TokenTrail {
         }
     }
 
+    /// The first prefix length after which some stack sits on a universal
+    /// node: every extension of that prefix is accepted. `None` when there
+    /// is none, or when matching the current prefix hit the stack cap
+    /// (a truncated step may have dropped stacks the extensions need).
+    fn universal_depth(
+        &mut self,
+        universal: &[NodeId],
+        tree: &PersistentStackTree,
+    ) -> Option<usize> {
+        if universal.is_empty() || self.truncated_at != usize::MAX {
+            return None;
+        }
+        while self.universal_at == usize::MAX && self.universal_scanned < self.starts.len() {
+            let state = self.universal_scanned;
+            let end = self
+                .starts
+                .get(state + 1)
+                .copied()
+                .unwrap_or(self.heads.len());
+            let heads = &self.heads[self.starts[state]..end];
+            if heads
+                .iter()
+                .any(|&h| tree.top(h).is_some_and(|top| universal.contains(&top)))
+            {
+                self.universal_at = state;
+            }
+            self.universal_scanned += 1;
+        }
+        (self.universal_at != usize::MAX).then_some(self.universal_at)
+    }
+
     /// Byte offsets `o < len` at which a pop-out of the bottom frame was
     /// possible (the remainder `token[o..]` would be matched by the parent
     /// context). Only offsets within the current prefix are reported.
@@ -310,61 +382,130 @@ impl TokenTrail {
     }
 }
 
-/// How one token of a [`match_sorted_tokens`] walk ended.
-#[derive(Debug)]
-pub(crate) enum SortedMatch<'t> {
+/// The universal nodes of `pda`: those with a byte edge over `0x00..=0xFF`
+/// back to themselves, so a stack on one survives any byte string.
+pub(crate) fn universal_nodes(pda: &Pda) -> Vec<NodeId> {
+    (0..pda.node_count() as u32)
+        .map(NodeId)
+        .filter(|&node| {
+            pda.node(node).edges.iter().any(|edge| {
+                matches!(*edge, PdaEdge::Bytes { range, target }
+                    if target == node && range.lo == 0x00 && range.hi == 0xFF)
+            })
+        })
+        .collect()
+}
+
+/// The verdict of a [`match_sorted_tokens`] walk on a run of tokens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
     /// Every byte matched and some stack survived.
     Accepted,
-    /// Every stack died; the trail holds the token, so the caller can read
-    /// its [pop-out offsets](TokenTrail::popout_offsets).
-    Rejected(&'t TokenTrail),
-    /// Not matched: the token extends a prefix on which every stack had
-    /// already died, so it is rejected.
-    DeadPrefix,
+    /// Every stack died, with no pop-out a parent frame could continue.
+    Rejected,
+    /// Every stack died after pop-outs, and context expansion rejected the
+    /// remainder after each of them.
+    ExpansionRejected,
+    /// Every stack died after a pop-out whose remainder a parent frame may
+    /// match: the token is context-dependent.
+    Uncertain,
+}
+
+/// What a pop-out of the bottom frame means to a [`match_sorted_tokens`]
+/// walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PopOuts<'f> {
+    /// The bottom frame is the root rule (runtime): a pop-out ends the
+    /// grammar, so a token whose stacks all die is rejected.
+    EndGrammar,
+    /// The bottom frame's parents are unknown (preprocessing): a token whose
+    /// stacks all die after a pop-out is [`Verdict::Uncertain`], unless the
+    /// rule's expanded-suffix automaton, when given, rejects the remainder
+    /// after every pop-out (context expansion, §3.2).
+    Parent(Option<&'f Fsa>),
 }
 
 /// Matches byte-sorted tokens one after another on `trail`, rolling back to
-/// the prefix each token shares with its predecessor (paper §3.3).
+/// the prefix each token shares with its predecessor (paper §3.3), and
+/// calls `visit` with consecutive index ranges of `ids` and their verdicts,
+/// in order.
 ///
-/// `tokens` yields each token with its common-prefix length with the
-/// previous token (0 for the first; the trail must be fresh). `visit` is
-/// called once per token, in order.
-///
-/// When a token dies at byte offset `k`, every following token sharing at
-/// least `k` bytes dies there too, so the walk reports them as
-/// [`SortedMatch::DeadPrefix`] without matching, up to the first token that
-/// shares fewer. Unless `skip_past_popouts`, a token whose matching recorded
-/// a pop-out before `k` starts no skip: in preprocessing the followers'
-/// remainders after the pop-out differ and the caller must inspect each of
-/// them. At runtime a pop-out ends the whole grammar, so nothing can follow
-/// it and the skip applies regardless.
+/// `lcp(i)` is the common-prefix length of `ids[i - 1]` and `ids[i]` (it is
+/// not called for `i = 0`); the trail must be fresh, and `universal` must
+/// be [`universal_nodes`] of `pda`. After matching a
+/// token, the walk finds the prefix length that decided its verdict (see
+/// the module docs) and extends the run over every following token whose
+/// common prefix with its predecessor is at least that long, without
+/// matching them.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn match_sorted_tokens(
     pda: &Pda,
+    universal: &[NodeId],
     vocab: &Vocabulary,
     tree: &mut PersistentStackTree,
     trail: &mut TokenTrail,
-    tokens: impl IntoIterator<Item = (TokenId, usize)>,
-    skip_past_popouts: bool,
-    mut visit: impl FnMut(TokenId, SortedMatch<'_>),
+    ids: &[TokenId],
+    lcp: impl Fn(usize) -> usize,
+    popouts: PopOuts<'_>,
+    mut visit: impl FnMut(Range<usize>, Verdict),
 ) {
-    let mut dead_prefix = usize::MAX;
-    for (token, lcp) in tokens {
-        if lcp >= dead_prefix {
-            visit(token, SortedMatch::DeadPrefix);
-            continue;
+    let mut scratch = FsaScratch::default();
+    let (mut i, mut keep) = (0, 0);
+    while i < ids.len() {
+        let bytes = vocab.token_bytes(ids[i]);
+        let (verdict, decided_at) = if trail.match_token(pda, tree, bytes, keep) {
+            (Verdict::Accepted, trail.universal_depth(universal, tree))
+        } else {
+            dead_verdict(trail, bytes, popouts, &mut scratch)
+        };
+        let mut end = i + 1;
+        while end < ids.len() {
+            keep = lcp(end);
+            if decided_at.is_none_or(|depth| keep < depth) {
+                break;
+            }
+            end += 1;
         }
-        dead_prefix = usize::MAX;
-        if trail.match_token(pda, tree, vocab.token_bytes(token), lcp) {
-            visit(token, SortedMatch::Accepted);
-            continue;
+        visit(i..end, verdict);
+        i = end;
+    }
+}
+
+/// The verdict of a token on whose bytes every stack died, and the prefix
+/// length that decided it (`None`: a longer token sharing the whole token
+/// could still differ).
+fn dead_verdict(
+    trail: &TokenTrail,
+    bytes: &[u8],
+    popouts: PopOuts<'_>,
+    scratch: &mut FsaScratch,
+) -> (Verdict, Option<usize>) {
+    // Every token sharing `k` bytes dies at the same offset, after the same
+    // pop-outs (all of them before `k`).
+    let k = trail
+        .dead_at()
+        .expect("a rejected token leaves a dead trail");
+    match popouts {
+        PopOuts::EndGrammar => (Verdict::Rejected, Some(k)),
+        PopOuts::Parent(_) if trail.popout_offsets().next().is_none() => {
+            (Verdict::Rejected, Some(k))
         }
-        let k = trail
-            .dead_at()
-            .expect("a rejected token leaves a dead trail");
-        if skip_past_popouts || !trail.popout[..k].contains(&true) {
-            dead_prefix = k;
+        PopOuts::Parent(None) => (Verdict::Uncertain, Some(k)),
+        PopOuts::Parent(Some(fsa)) => {
+            let mut decided_at = k;
+            for o in trail.popout_offsets() {
+                match fsa.match_remaining_in(&bytes[o..], scratch) {
+                    (SuffixMatch::Possible, depth) => {
+                        return (Verdict::Uncertain, depth.map(|d| k.max(o + d)));
+                    }
+                    (SuffixMatch::Rejected, depth) => {
+                        let d = depth.expect("a rejection is decided by the byte that kills it");
+                        decided_at = decided_at.max(o + d);
+                    }
+                }
+            }
+            (Verdict::ExpansionRejected, Some(decided_at))
         }
-        visit(token, SortedMatch::Rejected(trail));
     }
 }
 
@@ -487,41 +628,62 @@ mod tests {
         assert_eq!(trail.bytes_advanced(), 1);
     }
 
-    #[test]
-    fn sorted_walk_skips_tokens_under_a_dead_prefix() {
-        let pda = json_pda();
+    /// Walks `tokens` (already byte-sorted) from the start of `pda` and
+    /// returns each reported run as `(first, end, verdict letter)`.
+    fn sorted_runs(pda: &Pda, tokens: &[&[u8]]) -> Vec<(usize, usize, char)> {
         let mut tree = PersistentStackTree::new();
-        let heads = start_heads(&pda, &mut tree);
-        let tokens: [&[u8]; 5] = [b"[1", b"{x", b"{xa", b"{xb", b"{}"];
+        let heads = start_heads(pda, &mut tree);
         let vocab = Vocabulary::from_tokens(tokens.iter().map(|t| t.to_vec()).collect(), None);
-        let with_lcp = (0..tokens.len()).map(|i| {
-            let lcp = if i == 0 {
-                0
-            } else {
-                common_prefix_len(tokens[i - 1], tokens[i])
-            };
-            (TokenId(i as u32), lcp)
-        });
+        let ids: Vec<TokenId> = (0..tokens.len() as u32).map(TokenId).collect();
         let mut trail = TokenTrail::new(heads);
-        let mut steps = Vec::new();
+        let mut runs = Vec::new();
         match_sorted_tokens(
-            &pda,
+            pda,
+            &universal_nodes(pda),
             &vocab,
             &mut tree,
             &mut trail,
-            with_lcp,
-            false,
-            |_, step| {
-                steps.push(match step {
-                    SortedMatch::Accepted => 'A',
-                    SortedMatch::Rejected(_) => 'R',
-                    SortedMatch::DeadPrefix => 'D',
-                })
+            &ids,
+            |i| common_prefix_len(tokens[i - 1], tokens[i]),
+            PopOuts::EndGrammar,
+            |run, verdict| {
+                let letter = match verdict {
+                    Verdict::Accepted => 'A',
+                    Verdict::Rejected => 'R',
+                    Verdict::ExpansionRejected => 'E',
+                    Verdict::Uncertain => 'U',
+                };
+                runs.push((run.start, run.end, letter));
             },
         );
-        // `{x` dies at offset 2, so `{xa` and `{xb` are skipped; `{}` shares
-        // only one byte and is matched again.
-        assert_eq!(steps, vec!['A', 'R', 'D', 'D', 'A']);
+        runs
+    }
+
+    #[test]
+    fn sorted_walk_skips_tokens_under_a_dead_prefix() {
+        // `{x` dies at offset 2, so `{xa` and `{xb` join its run; `{}`
+        // shares only one byte and is matched again.
+        let tokens: [&[u8]; 5] = [b"[1", b"{x", b"{xa", b"{xb", b"{}"];
+        assert_eq!(
+            sorted_runs(&json_pda(), &tokens),
+            vec![(0, 1, 'A'), (1, 4, 'R'), (4, 5, 'A')]
+        );
+    }
+
+    #[test]
+    fn sorted_walk_accepts_every_extension_past_a_universal_node() {
+        let g = parse_ebnf(r#"root ::= "<" [a-z]* ">""#, "root").unwrap();
+        let pda = build_pda(
+            &xg_grammar::append_free_text_tail(&g),
+            &PdaBuildOptions::default(),
+        );
+        let tokens: [&[u8]; 6] = [b"<a", b"<a>", b"<a>!", b"<a>x<", b"<ab", b"<b>>"];
+        // `<a>` reaches the tail, so `<a>!` and `<a>x<` are accepted without
+        // matching; `<ab` shares only `<a`, before the tail.
+        assert_eq!(
+            sorted_runs(&pda, &tokens),
+            vec![(0, 1, 'A'), (1, 4, 'A'), (4, 5, 'A'), (5, 6, 'A')]
+        );
     }
 
     #[test]

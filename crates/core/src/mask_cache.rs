@@ -17,22 +17,31 @@
 //! Construction uses the persistent execution stack: tokens are classified in
 //! lexicographic order and the matcher state is rolled back to the common
 //! prefix with the previously classified token (paper §3.3), which cuts the
-//! number of bytes that have to be matched to a fraction. When every stack
-//! dies on a prefix where no pop-out was possible, the whole subtree of
-//! sorted tokens extending that prefix is rejected without matching
-//! ([`match_sorted_tokens`]).
+//! number of bytes that have to be matched to a fraction. The sorted index
+//! is built once per vocabulary and shared by every grammar a
+//! [`GrammarCompiler`](crate::GrammarCompiler) compiles.
+//!
+//! The walk ([`match_sorted_tokens`]) classifies runs of tokens, not single
+//! tokens: once a prefix decides a token's class, every following sorted
+//! token sharing that prefix is appended to the same class as one slice of
+//! the sorted ids. A prefix decides the class when every stack died on it
+//! with no pop-out (rejected), when every stack died after pop-outs and each
+//! context-expansion check of the remainder has died or reached a final
+//! state (rejected or context-dependent), or when some stack sits on a
+//! universal node such as a free-text tail (accepted). The classification is
+//! the same as checking every token on its own.
 //!
 //! Nodes are classified independently. Worker threads take the next
 //! unclassified node from a shared atomic counter, so the result is the
 //! same for any `num_threads` and a few expensive nodes do not leave the
 //! other workers idle.
 
-use xg_automata::{Fsa, NodeId, Pda, SuffixMatch};
+use xg_automata::{Fsa, NodeId, Pda};
 use xg_tokenizer::{SortedVocabulary, TokenId, Vocabulary};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::executor::{match_sorted_tokens, SortedMatch, TokenTrail};
+use crate::executor::{match_sorted_tokens, universal_nodes, PopOuts, TokenTrail, Verdict};
 use crate::mask::TokenBitmask;
 use crate::persistent_stack::{PersistentStackTree, StackHandle};
 
@@ -204,14 +213,15 @@ struct NodeClassification {
     stack_truncations: u64,
 }
 
-/// Classifies every (non-special) token against a single automaton node,
-/// using sorted-order prefix sharing and dead-prefix skipping
-/// ([`match_sorted_tokens`]). `suffix_fsa`, when provided, is the
-/// expanded-suffix automaton of the node's rule and is used to reject
-/// context-dependent tokens whose remainder cannot match any parent context
-/// (context expansion, §3.2).
+/// Classifies every (non-special) token against a single automaton node
+/// with one [`match_sorted_tokens`] walk: sorted-order prefix sharing, and
+/// whole runs of tokens classified at once where a shared prefix decides
+/// them. `suffix_fsa`, when provided, is the expanded-suffix automaton of
+/// the node's rule and is used to reject context-dependent tokens whose
+/// remainder cannot match any parent context (context expansion, §3.2).
 fn classify_node(
     pda: &Pda,
+    universal: &[NodeId],
     node: NodeId,
     vocab: &Vocabulary,
     sorted: &SortedVocabulary,
@@ -221,43 +231,33 @@ fn classify_node(
     let start = tree.push(StackHandle::ROOT, node);
     let mut trail = TokenTrail::new(vec![start]);
     let mut out = NodeClassification::default();
-    let tokens = sorted
-        .ids()
-        .iter()
-        .copied()
-        .zip(sorted.lcp().iter().copied());
+    let ids = sorted.ids();
     match_sorted_tokens(
         pda,
+        universal,
         vocab,
         &mut tree,
         &mut trail,
-        tokens,
-        false,
-        |token_id, step| {
-            let class = match step {
-                SortedMatch::Accepted => &mut out.accepted,
-                SortedMatch::DeadPrefix => &mut out.rejected,
-                // Any pop-out offset means the remainder could be matched by a
-                // parent context; context expansion filters those that cannot.
-                SortedMatch::Rejected(trail) if trail.popout_offsets().next().is_some() => {
-                    // Count what the classification would have been without
-                    // context expansion for the statistics.
-                    out.uncertain_before_expansion += 1;
-                    let bytes = vocab.token_bytes(token_id);
-                    let possible = |fsa: &Fsa| {
-                        trail
-                            .popout_offsets()
-                            .any(|o| fsa.match_remaining(&bytes[o..]) == SuffixMatch::Possible)
-                    };
-                    if suffix_fsa.is_none_or(possible) {
-                        &mut out.uncertain
-                    } else {
-                        &mut out.rejected
-                    }
+        ids,
+        |i| sorted.lcp()[i],
+        PopOuts::Parent(suffix_fsa),
+        |run, verdict| {
+            let tokens = &ids[run];
+            let class = match verdict {
+                Verdict::Accepted => &mut out.accepted,
+                Verdict::Rejected => &mut out.rejected,
+                // Tokens that died after a pop-out count as context-dependent
+                // before context expansion, for the statistics.
+                Verdict::ExpansionRejected => {
+                    out.uncertain_before_expansion += tokens.len();
+                    &mut out.rejected
                 }
-                SortedMatch::Rejected(_) => &mut out.rejected,
+                Verdict::Uncertain => {
+                    out.uncertain_before_expansion += tokens.len();
+                    &mut out.uncertain
+                }
             };
-            class.push(token_id);
+            class.extend_from_slice(tokens);
         },
     );
     out.bytes_matched = trail.bytes_advanced();
@@ -305,6 +305,7 @@ pub fn build_mask_cache(
         options.num_threads
     };
 
+    let universal = universal_nodes(pda);
     let classify = |node_index: usize| -> NodeClassification {
         let node = NodeId(node_index as u32);
         let fsa = if options.context_expansion {
@@ -312,7 +313,7 @@ pub fn build_mask_cache(
         } else {
             None
         };
-        classify_node(pda, node, vocab, sorted, fsa)
+        classify_node(pda, &universal, node, vocab, sorted, fsa)
     };
 
     // Workers take the next unclassified node from a shared counter, so a
@@ -424,8 +425,8 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use xg_automata::{build_pda, extract_all_suffix_fsas, PdaBuildOptions};
-    use xg_grammar::parse_ebnf;
+    use xg_automata::{build_pda, extract_all_suffix_fsas, PdaBuildOptions, SuffixMatch};
+    use xg_grammar::{parse_ebnf, Grammar};
     use xg_tokenizer::test_vocabulary;
 
     fn build_all(
@@ -574,10 +575,17 @@ mod tests {
     fn build_is_identical_for_any_thread_count() {
         let vocab = test_vocabulary(1500);
         let sorted = SortedVocabulary::new(&vocab);
+        // A tool-call segment with the free-text tail of eager exit.
+        let tool = xg_datasets::agent_catalog(&[xg_datasets::agent_tool(0)]);
+        let trigger = &tool.effective_triggers()[0];
+        let segment = tool
+            .build_grammar_for_trigger(trigger, &tool.trigger_assignments().unwrap()[0])
+            .unwrap();
         for grammar in [
             xg_grammar::builtin::json_grammar(),
             xg_grammar::builtin::xml_grammar(),
             xg_grammar::builtin::python_dsl_grammar(),
+            xg_grammar::append_free_text_tail(&segment),
         ] {
             let pda = build_pda(&grammar, &PdaBuildOptions::default());
             let fsas = extract_all_suffix_fsas(&pda);
@@ -626,34 +634,151 @@ mod tests {
         classes
     }
 
+    /// How many tokens a walk over `node` decided without matching them (the
+    /// tokens of each run after its first), per skip case: dead with no
+    /// pop-out, dead after pop-outs, and accepted past a universal node.
+    fn tokens_skipped(
+        pda: &Pda,
+        universal: &[NodeId],
+        node: NodeId,
+        vocab: &Vocabulary,
+        sorted: &SortedVocabulary,
+        suffix_fsa: Option<&Fsa>,
+    ) -> [usize; 3] {
+        let mut tree = PersistentStackTree::new();
+        let start = tree.push(StackHandle::ROOT, node);
+        let mut trail = TokenTrail::new(vec![start]);
+        let mut skipped = [0; 3];
+        match_sorted_tokens(
+            pda,
+            universal,
+            vocab,
+            &mut tree,
+            &mut trail,
+            sorted.ids(),
+            |i| sorted.lcp()[i],
+            PopOuts::Parent(suffix_fsa),
+            |run, verdict| {
+                let case = match verdict {
+                    Verdict::Rejected => 0,
+                    Verdict::ExpansionRejected | Verdict::Uncertain => 1,
+                    Verdict::Accepted => 2,
+                };
+                skipped[case] += run.len() - 1;
+            },
+        );
+        skipped
+    }
+
+    /// Asserts that every node's classification equals the per-token
+    /// oracle's, and returns the tokens each skip case decided.
+    fn check_against_oracle(
+        grammar: &Grammar,
+        inline_rules: bool,
+        context_expansion: bool,
+        vocab: &Vocabulary,
+        sorted: &SortedVocabulary,
+        label: &str,
+    ) -> [usize; 3] {
+        let options = PdaBuildOptions {
+            inline_rules,
+            ..Default::default()
+        };
+        let pda = build_pda(grammar, &options);
+        let fsas = extract_all_suffix_fsas(&pda);
+        let universal = universal_nodes(&pda);
+        let mut skipped = [0; 3];
+        for i in 0..pda.node_count() {
+            let node = NodeId(i as u32);
+            let fsa = context_expansion.then(|| &fsas[pda.node(node).rule.index()]);
+            let got = classify_node(&pda, &universal, node, vocab, sorted, fsa);
+            let want = classify_per_token(&pda, node, vocab, sorted, fsa);
+            assert_eq!(
+                [got.accepted, got.rejected, got.uncertain],
+                want,
+                "{label} node {i}"
+            );
+            let runs = tokens_skipped(&pda, &universal, node, vocab, sorted, fsa);
+            for (total, n) in skipped.iter_mut().zip(runs) {
+                *total += n;
+            }
+        }
+        skipped
+    }
+
     #[test]
     fn classification_matches_a_per_token_oracle_on_random_grammars() {
         let vocab = test_vocabulary(600);
         let sorted = SortedVocabulary::new(&vocab);
         let mut rng = SmallRng::seed_from_u64(0xCA5E);
-        for g in 0..24 {
+        let mut skipped = [0; 3];
+        for g in 0..36 {
             let random = super::random_grammar::random_grammar(&mut rng);
-            let grammar = parse_ebnf(&random.source, "root").unwrap();
-            // Alternate inlined and rule-per-frame automata, so pop-outs into
-            // parent frames are exercised as well.
-            let options = PdaBuildOptions {
-                inline_rules: g % 2 == 0,
-                ..Default::default()
+            let source = match g % 3 {
+                // A rule that ends inside a token: `root` is followed by a
+                // literal, so a pop-out's remainder is checked against it by
+                // context expansion, often past the byte where the stacks
+                // died.
+                2 => format!("{}\ntop ::= root \"]x,\" root\n", random.source),
+                _ => random.source.clone(),
             };
-            let pda = build_pda(&grammar, &options);
-            let fsas = extract_all_suffix_fsas(&pda);
-            for i in 0..pda.node_count() {
-                let node = NodeId(i as u32);
-                let fsa = (g % 4 < 2).then(|| &fsas[pda.node(node).rule.index()]);
-                let got = classify_node(&pda, node, &vocab, &sorted, fsa);
-                let want = classify_per_token(&pda, node, &vocab, &sorted, fsa);
-                assert_eq!(
-                    [got.accepted, got.rejected, got.uncertain],
-                    want,
-                    "grammar #{g} node {i}\n{}",
-                    random.source
-                );
+            let root = if g % 3 == 2 { "top" } else { "root" };
+            let mut grammar = parse_ebnf(&source, root).unwrap();
+            // A free-text tail adds a universal node.
+            if g % 3 == 1 {
+                grammar = xg_grammar::append_free_text_tail(&grammar);
+            }
+            // Alternate inlined and rule-per-frame automata, so pop-outs into
+            // parent frames are exercised as well, with and without context
+            // expansion.
+            let found = check_against_oracle(
+                &grammar,
+                g % 2 == 0,
+                g % 4 < 2,
+                &vocab,
+                &sorted,
+                &format!("grammar #{g}\n{source}"),
+            );
+            for (total, n) in skipped.iter_mut().zip(found) {
+                *total += n;
             }
         }
+        // A rule that can end after one digit, before a two-byte suffix: the
+        // expansion check of `120` is decided after its third byte, that of
+        // `100` by the PDA dying after its third byte.
+        let fixed = parse_ebnf(
+            r#"
+            top ::= root "2" [0-4] root
+            root ::= [0-1] | "10" [5-9]
+            "#,
+            "top",
+        )
+        .unwrap();
+        let found = check_against_oracle(&fixed, false, true, &vocab, &sorted, "fixed");
+        for (total, n) in skipped.iter_mut().zip(found) {
+            *total += n;
+        }
+        let [dead, popped, universal] = skipped;
+        assert!(dead > 0, "no dead-prefix run");
+        assert!(popped > 0, "no run decided after pop-outs");
+        assert!(universal > 0, "no run past a universal node");
+
+        // Every `(` may open either alternative of `e`, so twelve of them
+        // overflow the stack cap, and the universal tail, reachable after
+        // any `(`, may be among the stacks dropped: a token whose walk was
+        // truncated must not decide that its extensions are accepted.
+        let e = parse_ebnf(r#"root ::= "(" root ")" | "(" root | """#, "root").unwrap();
+        let twelve = "(".repeat(12);
+        let tokens = [
+            twelve.clone(),
+            format!("{twelve}(z"),
+            format!("{twelve}z"),
+            format!("{twelve}zz"),
+            ")".into(),
+        ];
+        let vocab = Vocabulary::from_tokens(tokens.map(String::into_bytes).to_vec(), None);
+        let sorted = SortedVocabulary::new(&vocab);
+        let tailed = xg_grammar::append_free_text_tail(&e);
+        check_against_oracle(&tailed, true, true, &vocab, &sorted, "truncated");
     }
 }

@@ -17,7 +17,7 @@ use crate::compiler::CompiledGrammar;
 use crate::constraint::{ConstraintFactory, ConstraintMatcher, ConstraintStats};
 use crate::error::{AcceptError, RollbackError};
 use crate::executor::{
-    advance_byte, can_pop_out, common_prefix_len, match_sorted_tokens, SortedMatch, TokenTrail,
+    advance_byte, can_pop_out, common_prefix_len, match_sorted_tokens, PopOuts, TokenTrail, Verdict,
 };
 use crate::mask::TokenBitmask;
 use crate::mask_cache::NodeMaskEntry;
@@ -427,22 +427,22 @@ impl GrammarMatcher {
     /// checked in sorted order to share prefixes.
     fn fill_mask_naive(&mut self, compiled: &CompiledGrammar, mask: &mut TokenBitmask) {
         let sorted = compiled.sorted_vocabulary();
-        let tokens = sorted
-            .ids()
-            .iter()
-            .copied()
-            .zip(sorted.lcp().iter().copied());
+        let ids = sorted.ids();
         let mut trail = TokenTrail::new(self.heads.clone());
         match_sorted_tokens(
             compiled.pda(),
+            compiled.universal_nodes(),
             compiled.vocabulary(),
             &mut self.tree,
             &mut trail,
-            tokens,
-            true,
-            |token, step| {
-                if matches!(step, SortedMatch::Accepted) {
-                    mask.allow(token);
+            ids,
+            |i| sorted.lcp()[i],
+            PopOuts::EndGrammar,
+            |run, verdict| {
+                if verdict == Verdict::Accepted {
+                    for &token in &ids[run] {
+                        mask.allow(token);
+                    }
                 }
             },
         );
@@ -451,8 +451,8 @@ impl GrammarMatcher {
 
     /// Resolves the context-dependent tokens of one stack by matching them
     /// against the full stack, reusing shared prefixes between consecutive
-    /// tokens and skipping tokens under a dead prefix. Returns one boolean
-    /// per uncertain token (true = allowed).
+    /// tokens and deciding whole runs of tokens under a decided prefix.
+    /// Returns one boolean per uncertain token (true = allowed).
     fn resolve_uncertain(
         &mut self,
         compiled: &CompiledGrammar,
@@ -463,23 +463,24 @@ impl GrammarMatcher {
             return Vec::new();
         }
         let vocab = compiled.vocabulary();
-        let mut prev: &[u8] = &[];
-        let tokens = uncertain.iter().map(|&token| {
-            let bytes = vocab.token_bytes(token);
-            let lcp = common_prefix_len(prev, bytes);
-            prev = bytes;
-            (token, lcp)
-        });
+        let lcp = |i: usize| {
+            common_prefix_len(
+                vocab.token_bytes(uncertain[i - 1]),
+                vocab.token_bytes(uncertain[i]),
+            )
+        };
         let mut out = Vec::with_capacity(uncertain.len());
         let mut trail = TokenTrail::new(vec![head]);
         match_sorted_tokens(
             compiled.pda(),
+            compiled.universal_nodes(),
             vocab,
             &mut self.tree,
             &mut trail,
-            tokens,
-            true,
-            |_, step| out.push(matches!(step, SortedMatch::Accepted)),
+            uncertain,
+            lcp,
+            PopOuts::EndGrammar,
+            |run, verdict| out.resize(run.end, verdict == Verdict::Accepted),
         );
         self.stats.context_dependent_checked += uncertain.len() as u64;
         out

@@ -89,6 +89,10 @@ pub struct CompiledTagDispatch {
     triggers: Vec<Arc<CompiledTrigger>>,
     scanner: AhoCorasick,
     vocab: Arc<Vocabulary>,
+    /// Fingerprint of `vocab`, taken from the compiler that assembled this
+    /// dispatch (hashing the vocabulary again per update costs about a
+    /// millisecond at 32k tokens).
+    vocab_fingerprint: u64,
     exit: SegmentExitPolicy,
     /// The registry description this dispatch was compiled from; deltas are
     /// applied against it.
@@ -228,7 +232,7 @@ impl GrammarCompiler {
         delta: &DispatchDelta,
     ) -> Result<Arc<CompiledTagDispatch>, GrammarError> {
         let next = base.source_tag().apply_delta(delta)?;
-        if base.vocab.fingerprint() != self.vocabulary().fingerprint() || base.exit != next.exit {
+        if base.vocab_fingerprint != self.vocab_fingerprint() || base.exit != next.exit {
             // A foreign base pins grammars compiled against another
             // vocabulary; reusing them would produce wrong masks.
             return self.compile_tag_dispatch(&next);
@@ -350,6 +354,7 @@ impl GrammarCompiler {
             triggers,
             scanner,
             vocab: Arc::clone(self.vocabulary()),
+            vocab_fingerprint: self.vocab_fingerprint(),
             exit: tag.exit,
             source: tag.clone(),
         });
@@ -1182,6 +1187,41 @@ mod tests {
     fn drive_bytes(vocab: &Vocabulary, matcher: &mut StructuralTagMatcher, text: &[u8]) {
         for &b in text {
             matcher.accept_token(token_for(vocab, &[b])).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_base_from_another_vocabulary_falls_back_to_a_full_compile() {
+        use xg_datasets::{agent_catalog, agent_tag_spec, agent_tool};
+        let vocab = Arc::new(test_vocabulary(800));
+        let compiler = GrammarCompiler::new(Arc::clone(&vocab));
+        let foreign = GrammarCompiler::new(Arc::new(test_vocabulary(700)));
+        let tools = [agent_tool(0), agent_tool(1), agent_tool(2)];
+        let base = foreign
+            .compile_tag_dispatch(&agent_catalog(&tools[..2]))
+            .unwrap();
+        let delta = DispatchDelta::AddTag(agent_tag_spec(&tools[2]));
+        let updated = compiler.update_tag_dispatch(&base, &delta).unwrap();
+        // Nothing of the foreign base is reused: all three segments compile.
+        assert_eq!(compiler.local_cache_stats().misses, 3);
+        assert!(Arc::ptr_eq(updated.vocabulary(), &vocab));
+        let fresh = GrammarCompiler::new(Arc::clone(&vocab))
+            .compile_tag_dispatch(&agent_catalog(&tools))
+            .unwrap();
+        let mask_after = |dispatch: &Arc<CompiledTagDispatch>, text: &[u8]| {
+            let mut matcher = StructuralTagMatcher::new(Arc::clone(dispatch));
+            drive_bytes(&vocab, &mut matcher, text);
+            let mut mask = TokenBitmask::new_all_rejected(vocab.len());
+            matcher.fill_next_token_bitmask(&mut mask);
+            mask
+        };
+        for tool in &tools {
+            let text = format!("ok {}{{\"", tool.begin_tag());
+            assert_eq!(
+                mask_after(&updated, text.as_bytes()),
+                mask_after(&fresh, text.as_bytes()),
+                "{text}"
+            );
         }
     }
 
